@@ -199,8 +199,12 @@ class ServiceBackend(SweepBackend):
         """Submit/poll loop; returns the specs no shard could finish."""
         attempts: Dict[RunSpec, int] = {}
         # (ready_at, spec): ready_at > now while a retry is backing off.
-        pending: List[Tuple[float, RunSpec]] = [(0.0, spec)
-                                                for spec in misses]
+        # Heaviest first: the biggest meshes run longest, so dealing them
+        # out early keeps one shard from finishing the sweep alone (the
+        # sort is stable, so equal core counts keep request order).
+        pending: List[Tuple[float, RunSpec]] = [
+            (0.0, spec) for spec in sorted(misses,
+                                           key=lambda spec: -spec.n_cores)]
         interval = POLL_MIN
         while ((pending or any(shard.inflight for shard in shards))
                and not engine._abandoned):
@@ -255,12 +259,17 @@ class ServiceBackend(SweepBackend):
 
     # ------------------------------------------------------------------
     def _shard_down(self, shard: _Shard, reason: str, pending,
-                    now: Optional[float] = None) -> None:
+                    now: Optional[float] = None,
+                    unanswered: Optional[RunSpec] = None) -> None:
         """Mark a shard dead and requeue its in-flight specs uncharged —
-        the shard, not the runs, failed (mirrors ``_pool_broken``)."""
+        the shard, not the runs, failed (mirrors ``_pool_broken``).
+        ``unanswered`` is a spec whose request the shard died during: it
+        may have been accepted, so it is stranded like the in-flight ones."""
         shard.alive = False
         self.dead_shards.append(shard.url)
         stranded = [flight.spec for flight in shard.inflight.values()]
+        if unanswered is not None:
+            stranded.insert(0, unanswered)
         shard.inflight.clear()
         now = time.monotonic() if now is None else now
         for spec in stranded:
@@ -292,8 +301,7 @@ class ServiceBackend(SweepBackend):
         try:
             status, envelope, headers = shard.client.submit(doc)
         except (ShardUnavailable, ShardProtocolError) as exc:
-            pending.append((time.monotonic(), spec))
-            self._shard_down(shard, str(exc), pending)
+            self._shard_down(shard, str(exc), pending, unanswered=spec)
             return
         if status == 429:
             # Queue full: honor the shard's Retry-After and try the spec
@@ -408,8 +416,7 @@ class ServiceBackend(SweepBackend):
         try:
             status, envelope, _ = shard.client.result(digest)
         except (ShardUnavailable, ShardProtocolError) as exc:
-            pending.append((time.monotonic(), spec))
-            self._shard_down(shard, str(exc), pending)
+            self._shard_down(shard, str(exc), pending, unanswered=spec)
             return
         record = None
         if status == 200 and envelope.get("ok"):

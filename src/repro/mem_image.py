@@ -221,6 +221,20 @@ class MemoryImage:
             return lambda index: base + index * elem_int
         return lambda index: base + int(index * elem_size)
 
+    def addrs(self, name: str, indices) -> np.ndarray:
+        """Vectorised :meth:`addr_fn`: the int64 addresses of ``indices``.
+
+        Bit-for-bit the addresses ``addr_fn(name)`` gives one index at a
+        time (sub-byte elements truncate ``index * elem_size`` the same
+        way); for the column trace emitters.
+        """
+        spec = self._regions[name].spec
+        indices = np.asarray(indices, dtype=np.int64)
+        elem_size = spec.elem_size
+        if elem_size >= 1 and float(elem_size).is_integer():
+            return spec.base + indices * int(elem_size)
+        return spec.base + (indices * elem_size).astype(np.int64)
+
     def find(self, addr: int) -> Optional[ArraySpec]:
         """Return the spec of the array containing ``addr``, if any."""
         pos = bisect.bisect_right(self._bases, addr) - 1

@@ -33,9 +33,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import IMPConfig
+from repro.experiments.configs import experiment_config
 from repro.experiments.faults import FaultPlan
 from repro.experiments.scenario import ScenarioError, ScenarioSpec
 from repro.experiments.sweep import (FailureRecord, ResultCache, RunPolicy,
@@ -44,6 +45,7 @@ from repro.registry import MODES, WORKLOADS
 from repro.service import store as job_states
 from repro.service.store import JobStore
 from repro.sim.config import SystemConfig
+from repro.workloads.base import Workload
 
 
 class QueueFull(RuntimeError):
@@ -181,6 +183,7 @@ class JobManager:
         self._drain_deadline: Optional[float] = None
         self._stopped = False
         self._running_id: Optional[str] = None
+        self._recent: Optional[Tuple[Tuple, Workload]] = None
         self._worker = threading.Thread(target=self._drain_loop,
                                         name="repro-serve-drain", daemon=True)
 
@@ -354,10 +357,12 @@ class JobManager:
         engine = SweepEngine(jobs=self.jobs_arg, cache=self.cache,
                              policy=self.policy)
         # Scenario-form jobs resolve their workload in-process (reusing
-        # the memoised trace build); runspec-form jobs let the engine
-        # rebuild the workload from the spec, exactly like a pool worker.
+        # the memoised trace build); runspec-form jobs reuse the previous
+        # runspec job's workload while the build key repeats, exactly like
+        # a pool worker reuses one workload per batch.
         workload_lookup = ((lambda _: source.scenario.resolve()[0])
-                           if source.scenario is not None else None)
+                           if source.scenario is not None
+                           else self._recent_workload)
         try:
             results = engine.run([runspec], workload_lookup=workload_lookup)
         except SweepError as exc:
@@ -387,6 +392,19 @@ class JobManager:
             plan.apply_serve_kill(job.id, attempt - 1, "post")
         self._finish(job, result.stats.fingerprint(), cached=False,
                      simulated=True)
+
+    def _recent_workload(self, spec: RunSpec) -> Workload:
+        """The most recent runspec job's workload when ``spec`` needs the
+        same trace build (same ``build_key`` and software-prefetch
+        variant), else a fresh one from the spec.  Only one workload, with
+        one build, is kept, so a shard's peak memory stays that of a
+        single job."""
+        software = experiment_config(spec.mode, spec.n_cores)[3]
+        key = (spec.build_key, software)
+        if self._recent is None or self._recent[0] != key:
+            self._recent = None     # release the old build first
+            self._recent = (key, spec.make_workload())
+        return self._recent[1]
 
     def _finish(self, job: Job, fingerprint: Dict, *, cached: bool,
                 simulated: bool) -> None:

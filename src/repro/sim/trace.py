@@ -18,9 +18,8 @@ Storage layout
 --------------
 
 Traces routinely hold hundreds of thousands of dynamic entries per core, so
-storing one Python object per entry (the original design) dominated both the
-memory footprint and the run time of ``System.run``.  A :class:`Trace` now
-stores six parallel ``array('q')`` columns::
+a :class:`Trace` stores six parallel ``array('q')`` columns rather than one
+Python object per entry::
 
     op    opcode (OP_COMPUTE / OP_LOAD / OP_STORE / OP_SW_PREFETCH)
     pc    program counter            (0 for compute runs)
@@ -30,10 +29,19 @@ stores six parallel ``array('q')`` columns::
           overhead_ops for software prefetches
     lead  non-memory ops executed immediately before this row's instruction
 
-``TraceBuilder`` folds a run of compute ops into the *lead* column of the
-next memory-touching row (the ubiquitous compute-then-load pattern then
-costs one row instead of two); a standalone ``OP_COMPUTE`` row appears only
-for a trailing compute run or via the object-level ``append`` API.
+A run of compute ops is folded into the *lead* column of the next
+memory-touching row (the ubiquitous compute-then-load pattern then costs
+one row instead of two); a standalone ``OP_COMPUTE`` row appears only for a
+trailing compute run or via the object-level ``append`` API.
+
+:meth:`Trace.from_columns` is the producer for the paper workloads: their
+emitters (:mod:`repro.workloads.emit`) build whole columns with numpy and
+hand them over finished.  :class:`TraceBuilder` produces the same columns
+one row at a time for small or irregular generators (the regular kernels,
+scenarios, tests) and finishes through ``from_columns`` too.  The summary
+counts (instruction count, memory references, per-kind reference counts,
+entry count) are derived from the finished columns in one place, once per
+trace, not maintained per append.
 
 Core models iterate the columns directly and dispatch on the integer opcode;
 the object forms (:class:`MemRef` & co.) are materialised on demand by the
@@ -42,10 +50,6 @@ row with a non-zero *lead* expands to a :class:`Compute` entry followed by
 the row's own entry, so the object view is unchanged from the original
 representation.  ``len(trace)`` counts entries (not rows); ``num_rows`` has
 the row count.
-
-Summary counts (instruction count, memory references, per-kind reference
-counts) are maintained incrementally on append, so the per-core overhead
-accounting of Figure 10 no longer rescans the trace.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 
 class AccessKind(enum.Enum):
@@ -124,13 +130,32 @@ class SwPrefetch:
 
 TraceEntry = Union[MemRef, Compute, SwPrefetch]
 
+#: One trace column as handed to :meth:`Trace.from_columns`.
+Column = Union[Sequence[int], np.ndarray]
+
+
+class _Summary(NamedTuple):
+    instructions: int
+    mem_refs: int
+    kind_counts: tuple
+    entries: int
+
+
+def _as_column(values: Column) -> array:
+    """``values`` as an ``array('q')`` (numpy arrays via one buffer copy)."""
+    if isinstance(values, np.ndarray):
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        column = array("q")
+        column.frombytes(memoryview(values).cast("B"))
+        return column
+    return array("q", values)
+
 
 class Trace:
     """The instruction/memory trace of a single core (columnar storage)."""
 
     __slots__ = ("core_id", "op", "pc", "addr", "size", "aux", "lead",
-                 "_instruction_count", "_mem_ref_count", "_kind_counts",
-                 "_entry_count")
+                 "_summary")
 
     def __init__(self, core_id: int,
                  entries: Optional[Iterable[TraceEntry]] = None) -> None:
@@ -141,63 +166,66 @@ class Trace:
         self.size = array("q")
         self.aux = array("q")
         self.lead = array("q")
-        self._instruction_count = 0
-        self._mem_ref_count = 0
-        self._kind_counts = [0] * NUM_KINDS
-        self._entry_count = 0
+        self._summary: Optional[_Summary] = None
         if entries:
             self.extend(entries)
 
-    # ------------------------------------------------------------------
-    # Raw (columnar) appends — the hot path used by TraceBuilder
-    # ------------------------------------------------------------------
-    def append_compute(self, ops: int) -> None:
-        self.op.append(OP_COMPUTE)
-        self.pc.append(0)
-        self.addr.append(0)
-        self.size.append(0)
-        self.aux.append(ops)
-        self.lead.append(0)
-        self._instruction_count += ops
-        self._entry_count += 1
+    @classmethod
+    def from_columns(cls, core_id: int, op: Column, pc: Column, addr: Column,
+                     size: Column, aux: Column, lead: Column) -> "Trace":
+        """A trace over six finished, equally long columns.
 
-    def append_mem_ref(self, pc: int, addr: int, size: int, is_write: bool,
-                       kind_code: int, lead_ops: int = 0) -> None:
-        self.op.append(OP_STORE if is_write else OP_LOAD)
-        self.pc.append(pc)
-        self.addr.append(addr)
-        self.size.append(size)
-        self.aux.append(kind_code)
-        self.lead.append(lead_ops)
-        self._instruction_count += 1 + lead_ops
-        self._mem_ref_count += 1
-        self._kind_counts[kind_code] += 1
-        self._entry_count += 2 if lead_ops else 1
+        Each column may be a sequence of ints or an integer numpy array;
+        it is stored as an ``array('q')``.  This is the constructor every
+        producer goes through (the paper workloads' column emitters and
+        :meth:`TraceBuilder.build`), and the summary counts are derived
+        here, once, from the columns themselves.
+        """
+        trace = cls(core_id)
+        trace.op, trace.pc, trace.addr, trace.size, trace.aux, trace.lead = (
+            _as_column(column) for column in (op, pc, addr, size, aux, lead))
+        rows = len(trace.op)
+        if not all(len(column) == rows for column in (
+                trace.pc, trace.addr, trace.size, trace.aux, trace.lead)):
+            raise ValueError("trace columns differ in length")
+        trace._summarise()
+        return trace
 
-    def append_sw_prefetch(self, pc: int, addr: int, overhead_ops: int,
-                           lead_ops: int = 0) -> None:
-        self.op.append(OP_SW_PREFETCH)
-        self.pc.append(pc)
-        self.addr.append(addr)
-        self.size.append(0)
-        self.aux.append(overhead_ops)
-        self.lead.append(lead_ops)
-        self._instruction_count += 1 + overhead_ops + lead_ops
-        self._entry_count += 2 if lead_ops else 1
+    def _summarise(self) -> _Summary:
+        """Derive (instructions, memory refs, per-kind refs, entries) from
+        the columns: a memory row is one instruction, a software prefetch
+        ``1 + aux``, a compute row ``aux``, and every row adds its lead
+        ops; a non-zero lead is one extra :class:`Compute` entry."""
+        op = np.frombuffer(self.op, dtype=np.int64)
+        aux = np.frombuffer(self.aux, dtype=np.int64)
+        lead = np.frombuffer(self.lead, dtype=np.int64)
+        is_mem = (op == OP_LOAD) | (op == OP_STORE)
+        instructions = (int(lead.sum()) + int(aux[~is_mem].sum())
+                        + int(np.count_nonzero(op != OP_COMPUTE)))
+        kind_counts = np.bincount(aux[is_mem], minlength=NUM_KINDS)
+        self._summary = _Summary(
+            instructions, int(np.count_nonzero(is_mem)),
+            tuple(int(count) for count in kind_counts[:NUM_KINDS]),
+            len(op) + int(np.count_nonzero(lead)))
+        return self._summary
 
     # ------------------------------------------------------------------
     # Object-level API (compatibility with the original representation)
     # ------------------------------------------------------------------
     def append(self, entry: TraceEntry) -> None:
         if type(entry) is Compute:
-            self.append_compute(entry.ops)
+            row = (OP_COMPUTE, 0, 0, 0, entry.ops)
         elif type(entry) is MemRef:
-            self.append_mem_ref(entry.pc, entry.addr, entry.size,
-                                entry.is_write, KIND_CODES[entry.kind])
+            row = (OP_STORE if entry.is_write else OP_LOAD, entry.pc,
+                   entry.addr, entry.size, KIND_CODES[entry.kind])
         elif type(entry) is SwPrefetch:
-            self.append_sw_prefetch(entry.pc, entry.addr, entry.overhead_ops)
+            row = (OP_SW_PREFETCH, entry.pc, entry.addr, 0, entry.overhead_ops)
         else:
             raise TypeError(f"unsupported trace entry {entry!r}")
+        for column, value in zip((self.op, self.pc, self.addr, self.size,
+                                  self.aux, self.lead), row + (0,)):
+            column.append(value)
+        self._summary = None
 
     def extend(self, entries: Iterable[TraceEntry]) -> None:
         for entry in entries:
@@ -238,7 +266,7 @@ class Trace:
             yield from self._row_entries(row)
 
     def __len__(self) -> int:
-        return self._entry_count
+        return (self._summary or self._summarise()).entries
 
     # ------------------------------------------------------------------
     # Summary helpers (used by workload tests and Figure 10)
@@ -247,35 +275,34 @@ class Trace:
     def instruction_count(self) -> int:
         """Total dynamic instruction count represented by the trace.
 
-        Maintained incrementally on append — O(1), not a trace rescan.
+        Derived once from the columns (not rescanned per call).
         """
-        return self._instruction_count
+        return (self._summary or self._summarise()).instructions
 
     @property
     def memory_reference_count(self) -> int:
-        """Number of demand loads/stores in the trace (cached, O(1))."""
-        return self._mem_ref_count
+        """Number of demand loads/stores in the trace."""
+        return (self._summary or self._summarise()).mem_refs
 
     def count_by_kind(self) -> dict:
         """Return the number of memory references per :class:`AccessKind`."""
-        return {kind: self._kind_counts[code]
-                for code, kind in enumerate(KIND_BY_CODE)}
+        kind_counts = (self._summary or self._summarise()).kind_counts
+        return dict(zip(KIND_BY_CODE, kind_counts))
 
 
 class TraceBuilder:
-    """Convenience builder that coalesces consecutive compute operations.
+    """Row-at-a-time builder that coalesces consecutive compute operations.
 
-    The fluent API is unchanged from the object-per-entry design, so the
-    workload generators did not have to change.  Rows are buffered in plain
-    Python lists (the cheapest append available) and converted to the
-    trace's ``array('q')`` columns in one bulk pass at :meth:`build`;
-    pending compute ops are folded into the *lead* column of the next
-    memory-touching row.
+    For small or irregular generators (the regular kernels, scenarios and
+    tests); the paper workloads emit whole columns with numpy instead (see
+    :mod:`repro.workloads.emit`).  Rows are buffered in plain Python lists
+    (the cheapest append available) and handed to :meth:`Trace.from_columns`
+    at :meth:`build`; pending compute ops are folded into the *lead* column
+    of the next memory-touching row.
     """
 
     __slots__ = ("_core_id", "_pending_ops", "_op", "_pc", "_addr", "_size",
-                 "_aux", "_lead", "_instruction_count", "_mem_ref_count",
-                 "_kind_counts", "_entry_count", "_built")
+                 "_aux", "_lead", "_built")
 
     def __init__(self, core_id: int) -> None:
         self._core_id = core_id
@@ -286,92 +313,57 @@ class TraceBuilder:
         self._size: List[int] = []
         self._aux: List[int] = []
         self._lead: List[int] = []
-        self._instruction_count = 0
-        self._mem_ref_count = 0
-        self._kind_counts = [0] * NUM_KINDS
-        self._entry_count = 0
         self._built: Optional[Trace] = None
+
+    def _check_open(self) -> None:
+        if self._built is not None:
+            raise RuntimeError("TraceBuilder is finished: build() was "
+                               "already called, further entries would be "
+                               "silently lost")
 
     def compute(self, ops: int = 1) -> "TraceBuilder":
         """Add ``ops`` non-memory instructions."""
         if ops > 0:
-            if self._built is not None:
-                raise RuntimeError("TraceBuilder is finished: build() was "
-                                   "already called, further entries would "
-                                   "be silently lost")
+            self._check_open()
             self._pending_ops += ops
         return self
 
     def _append_row(self, op: int, pc: int, addr: int, size: int,
                     aux: int) -> None:
-        if self._built is not None:
-            raise RuntimeError("TraceBuilder is finished: build() was "
-                               "already called, further entries would be "
-                               "silently lost")
-        lead = self._pending_ops
-        if lead:
-            self._pending_ops = 0
-            self._entry_count += 1
+        self._check_open()
         self._op.append(op)
         self._pc.append(pc)
         self._addr.append(addr)
         self._size.append(size)
         self._aux.append(aux)
-        self._lead.append(lead)
-        self._entry_count += 1
-        self._instruction_count += lead
+        self._lead.append(self._pending_ops)
+        self._pending_ops = 0
 
     def load(self, pc: int, addr: int, *, size: int = 8,
              kind: AccessKind = AccessKind.OTHER) -> "TraceBuilder":
         """Add a load instruction."""
-        kind_code = KIND_CODES[kind]
-        self._append_row(OP_LOAD, pc, addr, size, kind_code)
-        self._instruction_count += 1
-        self._mem_ref_count += 1
-        self._kind_counts[kind_code] += 1
+        self._append_row(OP_LOAD, pc, addr, size, KIND_CODES[kind])
         return self
 
     def store(self, pc: int, addr: int, *, size: int = 8,
               kind: AccessKind = AccessKind.OTHER) -> "TraceBuilder":
         """Add a store instruction."""
-        kind_code = KIND_CODES[kind]
-        self._append_row(OP_STORE, pc, addr, size, kind_code)
-        self._instruction_count += 1
-        self._mem_ref_count += 1
-        self._kind_counts[kind_code] += 1
+        self._append_row(OP_STORE, pc, addr, size, KIND_CODES[kind])
         return self
 
     def sw_prefetch(self, pc: int, addr: int, *, overhead_ops: int = 3) -> "TraceBuilder":
         """Add a software prefetch instruction."""
         self._append_row(OP_SW_PREFETCH, pc, addr, 0, overhead_ops)
-        self._instruction_count += 1 + overhead_ops
         return self
 
     def build(self) -> Trace:
         """Finish the trace and return it (idempotent)."""
-        if self._built is not None:
-            return self._built
-        if self._pending_ops:
-            # Trailing compute run gets its own row.
-            self._op.append(OP_COMPUTE)
-            self._pc.append(0)
-            self._addr.append(0)
-            self._size.append(0)
-            self._aux.append(self._pending_ops)
-            self._lead.append(0)
-            self._instruction_count += self._pending_ops
-            self._entry_count += 1
-            self._pending_ops = 0
-        trace = Trace(core_id=self._core_id)
-        trace.op = array("q", self._op)
-        trace.pc = array("q", self._pc)
-        trace.addr = array("q", self._addr)
-        trace.size = array("q", self._size)
-        trace.aux = array("q", self._aux)
-        trace.lead = array("q", self._lead)
-        trace._instruction_count = self._instruction_count
-        trace._mem_ref_count = self._mem_ref_count
-        trace._kind_counts = list(self._kind_counts)
-        trace._entry_count = self._entry_count
-        self._built = trace
-        return trace
+        if self._built is None:
+            trailing, self._pending_ops = self._pending_ops, 0
+            if trailing:
+                # Trailing compute run gets its own row.
+                self._append_row(OP_COMPUTE, 0, 0, 0, trailing)
+            self._built = Trace.from_columns(
+                self._core_id, self._op, self._pc, self._addr, self._size,
+                self._aux, self._lead)
+        return self._built

@@ -22,8 +22,9 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 from repro.workloads.graphs import CSRGraph, bfs_levels, power_law_graph
 
 
@@ -60,67 +61,65 @@ class Graph500Workload(Workload):
                         elem_size=1 / 8, length=self.n_vertices, writable=True)
         image.add_array("parent", np.full(self.n_vertices, -1, dtype=np.int32),
                         writable=True)
-        traces: List[Trace] = []
-        builders = [TraceBuilder(core) for core in range(n_cores)]
-        visited = np.zeros(self.n_vertices, dtype=bool)
-        visited[0] = True
-        offset = 0
-        for level in levels:
-            # Each BFS level is split across the cores (level-synchronous BFS).
-            chunks = self.partition(len(level), n_cores)
-            for core_id, chunk in enumerate(chunks):
-                self._emit_level(builders[core_id], graph, image, level, chunk,
-                                 offset, visited, software_prefetch,
-                                 sw_prefetch_distance)
-            for vertex in level:
-                for neighbor in graph.neighbors(int(vertex)):
-                    visited[neighbor] = True
-            offset += len(level)
-        traces = [builder.build() for builder in builders]
+        # Level-synchronous BFS: each level is split across the cores, so a
+        # core's trace is its chunk of level 0, then of level 1, ...
+        level_first = np.cumsum([0] + [len(level) for level in levels])
+        positions: List[List[np.ndarray]] = [[] for _ in range(n_cores)]
+        for first, level in zip(level_first, levels):
+            for core_id, chunk in enumerate(self.partition(len(level), n_cores)):
+                positions[core_id].append(
+                    np.arange(first + chunk.start, first + chunk.stop))
+        # A level's pass sees every vertex of that level and the ones before
+        # it as visited (the root, then each level's neighbours once that
+        # level is done): a neighbour is discovered iff it is deeper.
+        depth = np.repeat(np.arange(len(levels)), np.diff(level_first))
+        vertex_depth = np.full(self.n_vertices, len(levels))
+        vertex_depth[frontier_all] = depth
+        traces = [self._core_trace(core_id, np.concatenate(positions[core_id]),
+                                   frontier_all, depth, vertex_depth, graph,
+                                   image, software_prefetch,
+                                   sw_prefetch_distance)
+                  for core_id in range(n_cores)]
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces,
                              metadata={"vertices": self.n_vertices,
                                        "edges": graph.num_edges,
                                        "levels": len(levels)})
 
     # ------------------------------------------------------------------
-    def _emit_level(self, builder: TraceBuilder, graph: CSRGraph,
-                    image: MemoryImage, level: np.ndarray, chunk: range,
-                    offset: int, visited: np.ndarray, software_prefetch: bool,
-                    distance: int) -> None:
+    def _core_trace(self, core_id: int, positions: np.ndarray,
+                    frontier: np.ndarray, depth: np.ndarray,
+                    vertex_depth: np.ndarray, graph: CSRGraph,
+                    image: MemoryImage, software_prefetch: bool,
+                    distance: int) -> Trace:
         col_idx = graph.col_idx
-        row_ptr = graph.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        frontier_addr = image.addr_fn("frontier")
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        visited_addr = image.addr_fn("visited")
-        parent_addr = image.addr_fn("parent")
-        load = builder.load
-        compute = builder.compute
-        for position in chunk:
-            vertex = int(level[position])
-            frontier_index = offset + position
-            load(self.PC_FRONTIER, frontier_addr(frontier_index),
-                 size=4, kind=AccessKind.INDEX)
-            # Row pointer is indexed by the frontier *value*: an indirect
-            # access whose own value positions the neighbour scan below.
-            load(self.PC_ROW_PTR, row_ptr_addr(vertex),
-                 kind=AccessKind.INDIRECT)
-            compute(2)
-            start = int(row_ptr[vertex])
-            end = int(row_ptr[vertex + 1])
-            for j in range(start, end):
-                neighbor = int(col_idx[j])
-                if software_prefetch and j + distance < end:
-                    target = int(col_idx[j + distance])
-                    builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                        visited_addr(target))
-                load(self.PC_COL_IDX, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                load(self.PC_VISITED, visited_addr(neighbor),
-                     size=1, kind=AccessKind.INDIRECT)
-                compute(1)
-                if not visited[neighbor]:
-                    builder.store(self.PC_PARENT, parent_addr(neighbor),
-                                  size=4, kind=AccessKind.INDIRECT)
-                    compute(1)
+        vertices = frontier[positions]
+        first = graph.row_ptr[vertices]
+        end = graph.row_ptr[vertices + 1]
+        loop = RowBlocks(end - first, head=3, width=6)
+        j = loop.index(first)
+        neighbor = col_idx[j]
+        discovered = vertex_depth[neighbor] > depth[positions][loop.item_row]
+        slots = TraceSlots(loop.size)
+        slots.load(loop.head(0), self.PC_FRONTIER,
+                   image.addrs("frontier", positions), size=4,
+                   kind=AccessKind.INDEX)
+        # Row pointer is indexed by the frontier *value*: an indirect
+        # access whose own value positions the neighbour scan below.
+        slots.load(loop.head(1), self.PC_ROW_PTR,
+                   image.addrs("row_ptr", vertices), kind=AccessKind.INDIRECT)
+        slots.compute(loop.head(2), 2)
+        if software_prefetch:
+            ahead = j + distance < end[loop.item_row]
+            slots.sw_prefetch(loop.item(0)[ahead], self.PC_SW_PREFETCH,
+                              image.addrs("visited", col_idx[j[ahead] + distance]))
+        slots.load(loop.item(1), self.PC_COL_IDX, image.addrs("col_idx", j),
+                   size=4, kind=AccessKind.INDEX)
+        slots.load(loop.item(2), self.PC_VISITED,
+                   image.addrs("visited", neighbor), size=1,
+                   kind=AccessKind.INDIRECT)
+        slots.compute(loop.item(3), 1)
+        slots.store(loop.item(4)[discovered], self.PC_PARENT,
+                    image.addrs("parent", neighbor[discovered]), size=4,
+                    kind=AccessKind.INDIRECT)
+        slots.compute(loop.item(5), discovered)
+        return slots.trace(core_id)

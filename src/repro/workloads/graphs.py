@@ -16,6 +16,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.workloads.emit import RowBlocks
+
 
 @dataclass(frozen=True)
 class CSRGraph:
@@ -102,13 +104,15 @@ def bfs_levels(graph: CSRGraph, root: int) -> List[np.ndarray]:
     frontier = np.array([root], dtype=np.int32)
     levels = [frontier]
     while len(frontier):
-        next_frontier: List[int] = []
-        for vertex in frontier:
-            for neighbor in graph.neighbors(int(vertex)):
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    next_frontier.append(int(neighbor))
-        frontier = np.array(next_frontier, dtype=np.int32)
+        # The frontier's neighbour lists in scan order; the next frontier
+        # is each unvisited neighbour at its first occurrence.
+        first = graph.row_ptr[frontier]
+        scan = RowBlocks(graph.row_ptr[frontier + 1] - first)
+        neighbors = graph.col_idx[scan.index(first)]
+        neighbors = neighbors[~visited[neighbors]]
+        _, first_seen = np.unique(neighbors, return_index=True)
+        frontier = neighbors[np.sort(first_seen)].astype(np.int32)
+        visited[frontier] = True
         if len(frontier):
             levels.append(frontier)
     return levels

@@ -22,8 +22,9 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 
 
 class LSHWorkload(Workload):
@@ -84,34 +85,31 @@ class LSHWorkload(Workload):
     def _core_trace(self, core_id: int, queries: range, candidates: np.ndarray,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        # Hoisted address mappers and builder methods (hot generator loop).
-        queries_addr = image.addr_fn("queries")
-        bucket_ptr_addr = image.addr_fn("bucket_ptr")
-        candidates_addr = image.addr_fn("candidates")
-        dataset_addr = image.addr_fn("dataset")
-        load = builder.load
-        compute = builder.compute
-        for query in queries:
-            load(self.PC_QUERY, queries_addr(query),
-                 size=16, kind=AccessKind.STREAM)
-            compute(8)                    # hash the query for every table
-            for table in range(self.n_tables):
-                bucket = query * self.n_tables + table
-                start = bucket * self.bucket_size
-                end = start + self.bucket_size
-                load(self.PC_BUCKET_PTR, bucket_ptr_addr(bucket),
-                     kind=AccessKind.STREAM)
-                compute(2)
-                for k in range(start, end):
-                    candidate = int(candidates[k])
-                    if software_prefetch and k + distance < end:
-                        target = int(candidates[k + distance])
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            dataset_addr(target))
-                    load(self.PC_CANDIDATE, candidates_addr(k),
-                         size=4, kind=AccessKind.INDEX)
-                    load(self.PC_DATASET, dataset_addr(candidate),
-                         size=16, kind=AccessKind.INDIRECT)
-                    compute(6)            # distance computation
-        return builder.build()
+        queries = np.arange(queries.start, queries.stop)
+        tables = np.full(len(queries), self.n_tables)
+        buckets = queries[:, None] * self.n_tables + np.arange(self.n_tables)
+        buckets = buckets.ravel()
+        loop = RowBlocks(tables, head=2, width=2,
+                         inner=np.full(len(buckets), 4 * self.bucket_size))
+        scan = RowBlocks(np.full(len(buckets), self.bucket_size), width=4,
+                         start=loop.item(2))
+        k = scan.index(buckets * self.bucket_size)
+        slots = TraceSlots(loop.size)
+        slots.load(loop.head(0), self.PC_QUERY, image.addrs("queries", queries),
+                   size=16, kind=AccessKind.STREAM)
+        slots.compute(loop.head(1), 8)    # hash the query for every table
+        slots.load(loop.item(0), self.PC_BUCKET_PTR,
+                   image.addrs("bucket_ptr", buckets), kind=AccessKind.STREAM)
+        slots.compute(loop.item(1), 2)
+        if software_prefetch:
+            ahead = scan.rank + distance < self.bucket_size
+            slots.sw_prefetch(scan.item(0)[ahead], self.PC_SW_PREFETCH,
+                              image.addrs("dataset",
+                                          candidates[k[ahead] + distance]))
+        slots.load(scan.item(1), self.PC_CANDIDATE,
+                   image.addrs("candidates", k), size=4, kind=AccessKind.INDEX)
+        slots.load(scan.item(2), self.PC_DATASET,
+                   image.addrs("dataset", candidates[k]), size=16,
+                   kind=AccessKind.INDIRECT)
+        slots.compute(scan.item(3), 6)    # distance computation
+        return slots.trace(core_id)

@@ -20,8 +20,9 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 from repro.workloads.graphs import CSRGraph, power_law_graph
 
 
@@ -73,39 +74,32 @@ class PagerankWorkload(Workload):
     def _core_trace(self, core_id: int, vertices: range, graph: CSRGraph,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        col_idx = graph.col_idx
-        row_ptr = graph.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        rank_addr = image.addr_fn("rank")
-        degree_addr = image.addr_fn("out_degree")
-        new_rank_addr = image.addr_fn("new_rank")
-        load = builder.load
-        compute = builder.compute
-        for _ in range(self.iterations):
-            for vertex in vertices:
-                start = int(row_ptr[vertex])
-                end = int(row_ptr[vertex + 1])
-                # Row bounds: streaming loads of the row-pointer array.
-                load(self.PC_ROW_PTR, row_ptr_addr(vertex),
-                     kind=AccessKind.STREAM)
-                compute(2)
-                for edge in range(start, end):
-                    neighbor = int(col_idx[edge])
-                    if software_prefetch and edge + distance < end:
-                        target = int(col_idx[edge + distance])
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            rank_addr(target))
-                    load(self.PC_COL_IDX, col_idx_addr(edge),
-                         size=4, kind=AccessKind.INDEX)
-                    load(self.PC_RANK, rank_addr(neighbor),
-                         kind=AccessKind.INDIRECT)
-                    load(self.PC_DEGREE, degree_addr(neighbor),
-                         size=4, kind=AccessKind.INDIRECT)
-                    compute(3)            # divide and accumulate
-                builder.store(self.PC_STORE, new_rank_addr(vertex),
-                              kind=AccessKind.STREAM)
-                compute(2)
-        return builder.build()
+        vertices = np.tile(np.arange(vertices.start, vertices.stop),
+                           self.iterations)
+        first = graph.row_ptr[vertices]
+        end = graph.row_ptr[vertices + 1]
+        loop = RowBlocks(end - first, head=2, width=5, tail=2)
+        edge = loop.index(first)
+        neighbor = graph.col_idx[edge]
+        slots = TraceSlots(loop.size)
+        # Row bounds: streaming loads of the row-pointer array.
+        slots.load(loop.head(0), self.PC_ROW_PTR,
+                   image.addrs("row_ptr", vertices), kind=AccessKind.STREAM)
+        slots.compute(loop.head(1), 2)
+        if software_prefetch:
+            ahead = edge + distance < end[loop.item_row]
+            slots.sw_prefetch(loop.item(0)[ahead], self.PC_SW_PREFETCH,
+                              image.addrs("rank",
+                                          graph.col_idx[edge[ahead] + distance]))
+        slots.load(loop.item(1), self.PC_COL_IDX, image.addrs("col_idx", edge),
+                   size=4, kind=AccessKind.INDEX)
+        slots.load(loop.item(2), self.PC_RANK, image.addrs("rank", neighbor),
+                   kind=AccessKind.INDIRECT)
+        slots.load(loop.item(3), self.PC_DEGREE,
+                   image.addrs("out_degree", neighbor), size=4,
+                   kind=AccessKind.INDIRECT)
+        slots.compute(loop.item(4), 3)                # divide and accumulate
+        slots.store(loop.tail(0), self.PC_STORE,
+                    image.addrs("new_rank", vertices), kind=AccessKind.STREAM)
+        slots.compute(loop.tail(1), 2)
+        return slots.trace(core_id)

@@ -26,8 +26,9 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 from repro.workloads.sparse import ratings_matrix
 
 
@@ -87,40 +88,34 @@ class SGDWorkload(Workload):
     def _core_trace(self, core_id: int, ratings: range, users: np.ndarray,
                     items: np.ndarray, image: MemoryImage,
                     software_prefetch: bool, distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        end = ratings.stop
-        # Hoisted address mappers and builder methods (hot generator loop).
-        rating_user_addr = image.addr_fn("rating_user")
-        rating_item_addr = image.addr_fn("rating_item")
-        rating_value_addr = image.addr_fn("rating_value")
-        user_feat_addr = image.addr_fn("user_feat")
-        item_feat_addr = image.addr_fn("item_feat")
-        load = builder.load
-        store = builder.store
-        for k in ratings:
-            user = int(users[k])
-            item = int(items[k])
-            if software_prefetch and k + distance < end:
-                builder.sw_prefetch(self.PC_SW_PREFETCH_U,
-                                    user_feat_addr(int(users[k + distance])))
-                builder.sw_prefetch(self.PC_SW_PREFETCH_I,
-                                    item_feat_addr(int(items[k + distance])))
-            load(self.PC_RATING_USER, rating_user_addr(k),
-                 size=4, kind=AccessKind.INDEX)
-            load(self.PC_RATING_ITEM, rating_item_addr(k),
-                 size=4, kind=AccessKind.INDEX)
-            load(self.PC_RATING_VALUE, rating_value_addr(k),
-                 kind=AccessKind.STREAM)
-            load(self.PC_USER_FEAT, user_feat_addr(user),
-                 size=16, kind=AccessKind.INDIRECT)
-            load(self.PC_ITEM_FEAT, item_feat_addr(item),
-                 size=16, kind=AccessKind.INDIRECT)
-            # Dot product, error computation and least-squares update: the
-            # compute-heavy part that makes SGD compute-bound.
-            builder.compute(20)
-            store(self.PC_USER_STORE, user_feat_addr(user),
-                  size=16, kind=AccessKind.INDIRECT)
-            store(self.PC_ITEM_STORE, item_feat_addr(item),
-                  size=16, kind=AccessKind.INDIRECT)
-            builder.compute(4)
-        return builder.build()
+        k = np.arange(ratings.start, ratings.stop)
+        loop = RowBlocks(np.zeros(len(k)), head=11)
+        slots = TraceSlots(loop.size)
+        if software_prefetch:
+            ahead = k + distance < ratings.stop
+            future = k[ahead] + distance
+            slots.sw_prefetch(loop.head(0)[ahead], self.PC_SW_PREFETCH_U,
+                              image.addrs("user_feat", users[future]))
+            slots.sw_prefetch(loop.head(1)[ahead], self.PC_SW_PREFETCH_I,
+                              image.addrs("item_feat", items[future]))
+        user_feat = image.addrs("user_feat", users[k])
+        item_feat = image.addrs("item_feat", items[k])
+        slots.load(loop.head(2), self.PC_RATING_USER,
+                   image.addrs("rating_user", k), size=4, kind=AccessKind.INDEX)
+        slots.load(loop.head(3), self.PC_RATING_ITEM,
+                   image.addrs("rating_item", k), size=4, kind=AccessKind.INDEX)
+        slots.load(loop.head(4), self.PC_RATING_VALUE,
+                   image.addrs("rating_value", k), kind=AccessKind.STREAM)
+        slots.load(loop.head(5), self.PC_USER_FEAT, user_feat, size=16,
+                   kind=AccessKind.INDIRECT)
+        slots.load(loop.head(6), self.PC_ITEM_FEAT, item_feat, size=16,
+                   kind=AccessKind.INDIRECT)
+        # Dot product, error computation and least-squares update: the
+        # compute-heavy part that makes SGD compute-bound.
+        slots.compute(loop.head(7), 20)
+        slots.store(loop.head(8), self.PC_USER_STORE, user_feat, size=16,
+                    kind=AccessKind.INDIRECT)
+        slots.store(loop.head(9), self.PC_ITEM_STORE, item_feat, size=16,
+                    kind=AccessKind.INDIRECT)
+        slots.compute(loop.head(10), 4)
+        return slots.trace(core_id)

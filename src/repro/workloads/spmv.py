@@ -19,8 +19,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 from repro.workloads.sparse import CSRMatrix, stencil_27pt
 
 
@@ -97,32 +98,28 @@ class SpMVWorkload(Workload):
     def _core_trace(self, core_id: int, rows: range, matrix: CSRMatrix,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        col_idx = matrix.col_idx
-        row_ptr = matrix.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        values_addr = image.addr_fn("values")
-        vec_addr = image.addr_fn("vec")
-        result_addr = image.addr_fn("result")
-        load = builder.load
-        compute = builder.compute
-        for row in rows:
-            start = int(row_ptr[row])
-            end = int(row_ptr[row + 1])
-            load(self.PC_ROW_PTR, row_ptr_addr(row), kind=AccessKind.STREAM)
-            compute(1)
-            for j in range(start, end):
-                col = int(col_idx[j])
-                if software_prefetch and j + distance < end:
-                    target = int(col_idx[j + distance])
-                    builder.sw_prefetch(self.PC_SW_PREFETCH, vec_addr(target))
-                load(self.PC_COL_IDX, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                load(self.PC_VALUES, values_addr(j), kind=AccessKind.STREAM)
-                load(self.PC_VECTOR, vec_addr(col), kind=AccessKind.INDIRECT)
-                compute(2)                # multiply-accumulate
-            builder.store(self.PC_STORE, result_addr(row),
-                          kind=AccessKind.STREAM)
-        return builder.build()
+        rows = np.arange(rows.start, rows.stop)
+        first = matrix.row_ptr[rows]
+        end = matrix.row_ptr[rows + 1]
+        loop = RowBlocks(end - first, head=2, width=5, tail=1)
+        j = loop.index(first)
+        slots = TraceSlots(loop.size)
+        slots.load(loop.head(0), self.PC_ROW_PTR, image.addrs("row_ptr", rows),
+                   kind=AccessKind.STREAM)
+        slots.compute(loop.head(1), 1)
+        if software_prefetch:
+            ahead = j + distance < end[loop.item_row]
+            target = matrix.col_idx[j[ahead] + distance]
+            slots.sw_prefetch(loop.item(0)[ahead], self.PC_SW_PREFETCH,
+                              image.addrs("vec", target))
+        slots.load(loop.item(1), self.PC_COL_IDX, image.addrs("col_idx", j),
+                   size=4, kind=AccessKind.INDEX)
+        slots.load(loop.item(2), self.PC_VALUES, image.addrs("values", j),
+                   kind=AccessKind.STREAM)
+        slots.load(loop.item(3), self.PC_VECTOR,
+                   image.addrs("vec", matrix.col_idx[j]),
+                   kind=AccessKind.INDIRECT)
+        slots.compute(loop.item(4), 2)                # multiply-accumulate
+        slots.store(loop.tail(0), self.PC_STORE, image.addrs("result", rows),
+                    kind=AccessKind.STREAM)
+        return slots.trace(core_id)

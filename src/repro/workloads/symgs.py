@@ -17,8 +17,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 from repro.workloads.sparse import CSRMatrix, stencil_27pt
 
 
@@ -89,11 +90,9 @@ class SymGSWorkload(Workload):
                                        "nonzeros": matrix.num_nonzeros})
 
     # ------------------------------------------------------------------
-    def _sweep(self, builder: TraceBuilder, rows, matrix: CSRMatrix,
-               image: MemoryImage, software_prefetch: bool, distance: int,
-               *, forward: bool) -> None:
-        col_idx = matrix.col_idx
-        row_ptr = matrix.row_ptr
+    def _sweep(self, slots: TraceSlots, loop: RowBlocks, rows: np.ndarray,
+               matrix: CSRMatrix, image: MemoryImage, software_prefetch: bool,
+               distance: int, *, forward: bool) -> None:
         if forward:
             pcs = (self.PC_ROW_PTR_F, self.PC_COL_IDX_F, self.PC_VALUES_F,
                    self.PC_VECTOR_F, self.PC_STORE_F)
@@ -101,43 +100,44 @@ class SymGSWorkload(Workload):
             pcs = (self.PC_ROW_PTR_B, self.PC_COL_IDX_B, self.PC_VALUES_B,
                    self.PC_VECTOR_B, self.PC_STORE_B)
         pc_row, pc_col, pc_val, pc_vec, pc_store = pcs
-        row_order = rows if forward else reversed(rows)
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        rhs_addr = image.addr_fn("rhs")
-        col_idx_addr = image.addr_fn("col_idx")
-        values_addr = image.addr_fn("values")
-        xvec_addr = image.addr_fn("xvec")
-        load = builder.load
-        compute = builder.compute
-        for row in row_order:
-            start = int(row_ptr[row])
-            end = int(row_ptr[row + 1])
-            load(pc_row, row_ptr_addr(row), kind=AccessKind.STREAM)
-            load(pc_store, rhs_addr(row), kind=AccessKind.STREAM)
-            compute(2)
-            inner = range(start, end) if forward else range(end - 1, start - 1, -1)
-            for j in inner:
-                col = int(col_idx[j])
-                if software_prefetch:
-                    target_j = j + distance if forward else j - distance
-                    if start <= target_j < end:
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            xvec_addr(int(col_idx[target_j])))
-                load(pc_col, col_idx_addr(j), size=4, kind=AccessKind.INDEX)
-                load(pc_val, values_addr(j), kind=AccessKind.STREAM)
-                load(pc_vec, xvec_addr(col), kind=AccessKind.INDIRECT)
-                compute(2)
-            # The smoothed value is written back to the row's vector entry.
-            compute(4)                    # divide by the diagonal, busy-wait check
-            builder.store(pc_store, xvec_addr(row), kind=AccessKind.STREAM)
+        first = matrix.row_ptr[rows][loop.item_row]
+        end = matrix.row_ptr[rows + 1][loop.item_row]
+        # The backward sweep scans each row's non-zeros in reverse.
+        j = first + loop.rank if forward else end - 1 - loop.rank
+        slots.load(loop.head(0), pc_row, image.addrs("row_ptr", rows),
+                   kind=AccessKind.STREAM)
+        slots.load(loop.head(1), pc_store, image.addrs("rhs", rows),
+                   kind=AccessKind.STREAM)
+        slots.compute(loop.head(2), 2)
+        if software_prefetch:
+            target = j + distance if forward else j - distance
+            ahead = (first <= target) & (target < end)
+            slots.sw_prefetch(loop.item(0)[ahead], self.PC_SW_PREFETCH,
+                              image.addrs("xvec", matrix.col_idx[target[ahead]]))
+        slots.load(loop.item(1), pc_col, image.addrs("col_idx", j), size=4,
+                   kind=AccessKind.INDEX)
+        slots.load(loop.item(2), pc_val, image.addrs("values", j),
+                   kind=AccessKind.STREAM)
+        slots.load(loop.item(3), pc_vec, image.addrs("xvec", matrix.col_idx[j]),
+                   kind=AccessKind.INDIRECT)
+        slots.compute(loop.item(4), 2)
+        # The smoothed value is written back to the row's vector entry.
+        slots.compute(loop.tail(0), 4)    # divide by the diagonal, busy-wait check
+        slots.store(loop.tail(1), pc_store, image.addrs("xvec", rows),
+                    kind=AccessKind.STREAM)
 
     def _core_trace(self, core_id: int, rows: range, matrix: CSRMatrix,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
-        self._sweep(builder, rows, matrix, image, software_prefetch, distance,
-                    forward=True)
-        self._sweep(builder, rows, matrix, image, software_prefetch, distance,
-                    forward=False)
-        return builder.build()
+        forward_rows = np.arange(rows.start, rows.stop)
+        backward_rows = forward_rows[::-1]
+        counts = np.diff(matrix.row_ptr)
+        layout = dict(head=3, width=5, tail=2)
+        forward = RowBlocks(counts[forward_rows], **layout)
+        backward = RowBlocks(counts[backward_rows], start=forward.size, **layout)
+        slots = TraceSlots(forward.size + backward.size)
+        self._sweep(slots, forward, forward_rows, matrix, image,
+                    software_prefetch, distance, forward=True)
+        self._sweep(slots, backward, backward_rows, matrix, image,
+                    software_prefetch, distance, forward=False)
+        return slots.trace(core_id)

@@ -12,8 +12,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 
 
 class StreamingWorkload(Workload):
@@ -42,20 +43,19 @@ class StreamingWorkload(Workload):
         image.add_array("c", np.zeros(self.n_elements, dtype=np.float64),
                         writable=True)
         traces: List[Trace] = []
-        a_addr = image.addr_fn("a")
-        b_addr = image.addr_fn("b")
-        c_addr = image.addr_fn("c")
-        for core_id, elements in enumerate(self.partition(self.n_elements,
-                                                          n_cores)):
-            builder = TraceBuilder(core_id)
-            load = builder.load
-            for i in elements:
-                load(self.PC_LOAD_A, a_addr(i), kind=AccessKind.STREAM)
-                load(self.PC_LOAD_B, b_addr(i), kind=AccessKind.STREAM)
-                builder.compute(2)
-                builder.store(self.PC_STORE_C, c_addr(i),
-                              kind=AccessKind.STREAM)
-            traces.append(builder.build())
+        for core_id, chunk in enumerate(self.partition(self.n_elements,
+                                                       n_cores)):
+            i = np.arange(chunk.start, chunk.stop)
+            loop = RowBlocks(np.zeros(len(i)), head=4)
+            slots = TraceSlots(loop.size)
+            slots.load(loop.head(0), self.PC_LOAD_A, image.addrs("a", i),
+                       kind=AccessKind.STREAM)
+            slots.load(loop.head(1), self.PC_LOAD_B, image.addrs("b", i),
+                       kind=AccessKind.STREAM)
+            slots.compute(loop.head(2), 2)
+            slots.store(loop.head(3), self.PC_STORE_C, image.addrs("c", i),
+                        kind=AccessKind.STREAM)
+            traces.append(slots.trace(core_id))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces)
 
 
@@ -94,25 +94,24 @@ class IndirectStreamWorkload(Workload):
             image.add_array("C", np.zeros(self.n_data, dtype=np.float64),
                             elem_size=self.elem_size, length=self.n_data)
         traces: List[Trace] = []
-        b_addr = image.addr_fn("B")
-        a_addr = image.addr_fn("A")
-        c_addr = image.addr_fn("C") if self.two_way else None
         data_size = min(8, self.elem_size)
         for core_id, chunk in enumerate(self.partition(self.n_indices, n_cores)):
-            builder = TraceBuilder(core_id)
-            load = builder.load
-            end = chunk.stop
-            for i in chunk:
-                target = int(indices[i])
-                if software_prefetch and i + sw_prefetch_distance < end:
-                    future = int(indices[i + sw_prefetch_distance])
-                    builder.sw_prefetch(pc_of(98), a_addr(future))
-                load(self.PC_INDEX, b_addr(i), size=4, kind=AccessKind.INDEX)
-                load(self.PC_DATA, a_addr(target), size=data_size,
-                     kind=AccessKind.INDIRECT)
-                if self.two_way:
-                    load(self.PC_DATA2, c_addr(target), size=data_size,
-                         kind=AccessKind.INDIRECT)
-                builder.compute(2)
-            traces.append(builder.build())
+            i = np.arange(chunk.start, chunk.stop)
+            target = indices[i]
+            loop = RowBlocks(np.zeros(len(i)), head=5)
+            slots = TraceSlots(loop.size)
+            if software_prefetch:
+                ahead = i + sw_prefetch_distance < chunk.stop
+                future = indices[i[ahead] + sw_prefetch_distance]
+                slots.sw_prefetch(loop.head(0)[ahead], pc_of(98),
+                                  image.addrs("A", future))
+            slots.load(loop.head(1), self.PC_INDEX, image.addrs("B", i), size=4,
+                       kind=AccessKind.INDEX)
+            slots.load(loop.head(2), self.PC_DATA, image.addrs("A", target),
+                       size=data_size, kind=AccessKind.INDIRECT)
+            if self.two_way:
+                slots.load(loop.head(3), self.PC_DATA2, image.addrs("C", target),
+                           size=data_size, kind=AccessKind.INDIRECT)
+            slots.compute(loop.head(4), 2)
+            traces.append(slots.trace(core_id))
         return WorkloadBuild(name=self.name, mem_image=image, traces=traces)

@@ -23,8 +23,9 @@ from typing import List
 import numpy as np
 
 from repro.mem_image import MemoryImage
-from repro.sim.trace import AccessKind, Trace, TraceBuilder
+from repro.sim.trace import AccessKind, Trace
 from repro.workloads.base import Workload, WorkloadBuild, pc_of
+from repro.workloads.emit import RowBlocks, TraceSlots
 from repro.workloads.graphs import CSRGraph, power_law_graph
 
 
@@ -72,53 +73,57 @@ class TriangleCountWorkload(Workload):
     def _core_trace(self, core_id: int, vertices: range, graph: CSRGraph,
                     image: MemoryImage, software_prefetch: bool,
                     distance: int) -> Trace:
-        builder = TraceBuilder(core_id)
         col_idx = graph.col_idx
         row_ptr = graph.row_ptr
-        # Hoisted address mappers and builder methods (hot generator loop).
-        row_ptr_addr = image.addr_fn("row_ptr")
-        col_idx_addr = image.addr_fn("col_idx")
-        bitvec_addr = image.addr_fn("bitvec")
-        load = builder.load
-        compute = builder.compute
-        for vertex in vertices:
-            start = int(row_ptr[vertex])
-            end = int(row_ptr[vertex + 1])
-            load(self.PC_ROW_PTR_V, row_ptr_addr(vertex),
-                 kind=AccessKind.STREAM)
-            # Build the bit vector of v's neighbourhood (streaming writes).
-            for j in range(start, end):
-                neighbor = int(col_idx[j])
-                load(self.PC_COL_IDX_V, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                builder.store(self.PC_BITVEC_SET, bitvec_addr(neighbor),
-                              size=1, kind=AccessKind.INDIRECT)
-                compute(1)
-            # Intersect each neighbour's neighbour list with the bit vector.
-            two_hop_budget = self.max_two_hop_per_vertex
-            for j in range(start, end):
-                if two_hop_budget <= 0:
-                    break
-                u = int(col_idx[j])
-                load(self.PC_COL_IDX_V, col_idx_addr(j),
-                     size=4, kind=AccessKind.INDEX)
-                load(self.PC_ROW_PTR_U, row_ptr_addr(u),
-                     kind=AccessKind.INDIRECT)
-                compute(1)
-                u_start = int(row_ptr[u])
-                u_end = int(row_ptr[u + 1])
-                for k in range(u_start, u_end):
-                    if two_hop_budget <= 0:
-                        break
-                    two_hop_budget -= 1
-                    w = int(col_idx[k])
-                    if software_prefetch and k + distance < u_end:
-                        target = int(col_idx[k + distance])
-                        builder.sw_prefetch(self.PC_SW_PREFETCH,
-                                            bitvec_addr(target))
-                    load(self.PC_COL_IDX_U, col_idx_addr(k),
-                         size=4, kind=AccessKind.INDEX)
-                    load(self.PC_BITVEC_TEST, bitvec_addr(w),
-                         size=1, kind=AccessKind.INDIRECT)
-                    compute(2)           # bit test and triangle count update
-        return builder.build()
+        vertices = np.arange(vertices.start, vertices.stop)
+        first = row_ptr[vertices]
+        degree = row_ptr[vertices + 1] - first
+        # Per vertex: a head, a bit-vector store per neighbour u, then per
+        # u a header and a scan of u's own neighbours, until
+        # max_two_hop_per_vertex of those have been tested (the budget
+        # leaves a prefix of v's neighbours active).
+        neighbors = RowBlocks(degree)
+        j = neighbors.index(first)
+        u = col_idx[j]
+        u_degree = row_ptr[u + 1] - row_ptr[u]
+        tested_before = np.cumsum(u_degree) - u_degree
+        tested_before -= tested_before[np.arange(len(j)) - neighbors.rank]
+        budget = np.maximum(self.max_two_hop_per_vertex - tested_before, 0)
+        active = budget > 0
+        taken = np.minimum(u_degree, budget)[active]
+        u = u[active]
+        intersect = RowBlocks(np.bincount(neighbors.item_row[active],
+                                          minlength=len(vertices)),
+                              width=3, inner=4 * taken)
+        loop = RowBlocks(degree, head=1, width=3, tail=intersect.sizes)
+        intersect.place(loop.tail(0))
+        scan = RowBlocks(taken, width=4, start=intersect.item(3))
+        k = scan.index(row_ptr[u])
+        slots = TraceSlots(loop.size)
+        slots.load(loop.head(0), self.PC_ROW_PTR_V,
+                   image.addrs("row_ptr", vertices), kind=AccessKind.STREAM)
+        # Build the bit vector of v's neighbourhood (streaming writes).
+        slots.load(loop.item(0), self.PC_COL_IDX_V, image.addrs("col_idx", j),
+                   size=4, kind=AccessKind.INDEX)
+        slots.store(loop.item(1), self.PC_BITVEC_SET,
+                    image.addrs("bitvec", col_idx[j]), size=1,
+                    kind=AccessKind.INDIRECT)
+        slots.compute(loop.item(2), 1)
+        # Intersect each neighbour's neighbour list with the bit vector.
+        slots.load(intersect.item(0), self.PC_COL_IDX_V,
+                   image.addrs("col_idx", j[active]), size=4,
+                   kind=AccessKind.INDEX)
+        slots.load(intersect.item(1), self.PC_ROW_PTR_U,
+                   image.addrs("row_ptr", u), kind=AccessKind.INDIRECT)
+        slots.compute(intersect.item(2), 1)
+        if software_prefetch:
+            ahead = k + distance < row_ptr[u + 1][scan.item_row]
+            slots.sw_prefetch(scan.item(0)[ahead], self.PC_SW_PREFETCH,
+                              image.addrs("bitvec", col_idx[k[ahead] + distance]))
+        slots.load(scan.item(1), self.PC_COL_IDX_U, image.addrs("col_idx", k),
+                   size=4, kind=AccessKind.INDEX)
+        slots.load(scan.item(2), self.PC_BITVEC_TEST,
+                   image.addrs("bitvec", col_idx[k]), size=1,
+                   kind=AccessKind.INDIRECT)
+        slots.compute(scan.item(3), 2)   # bit test and triangle count update
+        return slots.trace(core_id)

@@ -217,3 +217,62 @@ class TestBackendEquivalence:
                 if digest in {spec.digest() for spec in specs}}
         finally:
             app.stop(drain_timeout=10.0)
+
+
+class TestServiceDispatch:
+    def test_heaviest_specs_are_submitted_first(self, tmp_path,
+                                                monkeypatch):
+        # The biggest meshes run longest: dealing them out first keeps a
+        # shard from sitting idle while another finishes them last.
+        # Equal core counts keep request order.
+        from repro.service import ServiceApp
+
+        specs, lookup = [], {}
+        for seed, n_cores in zip(range(1, 5), (1, 4, 1, 4)):
+            workload = IndirectStreamWorkload(n_indices=256, n_data=1024,
+                                              seed=seed)
+            spec = RunSpec.for_run(workload, "imp", n_cores)
+            specs.append(spec)
+            lookup[spec] = workload
+        submitted = []
+        original = ServiceBackend._submit
+
+        def recording_submit(self, engine, shard, spec, *args):
+            submitted.append(spec)
+            return original(self, engine, shard, spec, *args)
+
+        monkeypatch.setattr(ServiceBackend, "_submit", recording_submit)
+        app = ServiceApp(tmp_path / "shard", port=0, queue_depth=8)
+        app.start()
+        try:
+            engine = SweepEngine(jobs=1, backend="service", shards=[app.url])
+            results = engine.run(specs, workload_lookup=lookup.get)
+        finally:
+            app.stop(drain_timeout=10.0)
+        assert set(results) == set(specs)
+        assert submitted == [specs[1], specs[3], specs[0], specs[2]]
+
+    def test_spec_dealt_to_a_dead_shard_counts_as_requeued(self, tmp_path):
+        # A shard that dies during a submission may already have accepted
+        # the spec: it is stranded and requeued uncharged like the
+        # shard's in-flight runs, and the survivor finishes it.
+        import socket
+
+        from repro.service import ServiceApp
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_url = "http://127.0.0.1:%d" % probe.getsockname()[1]
+        specs, lookup = make_specs(2)
+        app = ServiceApp(tmp_path / "shard", port=0, queue_depth=8)
+        app.start()
+        try:
+            engine = SweepEngine(jobs=1, backend="service",
+                                 shards=[dead_url, app.url])
+            results = engine.run(specs, workload_lookup=lookup.get)
+        finally:
+            app.stop(drain_timeout=10.0)
+        assert set(results) == set(specs)
+        assert engine.backend.dead_shards == [dead_url]
+        assert engine.backend.requeued == 1
+        assert engine.backend.ingested == len(specs)

@@ -155,3 +155,85 @@ class TestColumnarStorage:
                 == trace.num_rows == 100)
         assert len(trace) == 200
         assert trace.instruction_count == 200
+
+
+class TestFromColumns:
+    """``Trace.from_columns`` derives the same trace ``TraceBuilder`` does."""
+
+    @staticmethod
+    def columns(trace):
+        return [list(column) for column in (trace.op, trace.pc, trace.addr,
+                                            trace.size, trace.aux,
+                                            trace.lead)]
+
+    def assert_same(self, trace, reference):
+        assert self.columns(trace) == self.columns(reference)
+        assert trace.instruction_count == reference.instruction_count
+        assert (trace.memory_reference_count
+                == reference.memory_reference_count)
+        assert trace.count_by_kind() == reference.count_by_kind()
+        assert len(trace) == len(reference)
+        assert trace.entries == reference.entries
+
+    def test_compute_lead_folding(self):
+        reference = (TraceBuilder(0).compute(3)
+                     .load(0x400, 0x1000, kind=AccessKind.INDEX)
+                     .compute(2).compute(1)
+                     .store(0x408, 0x2000, kind=AccessKind.STREAM).build())
+        trace = Trace.from_columns(
+            0, [OP_LOAD, OP_STORE], [0x400, 0x408], [0x1000, 0x2000], [8, 8],
+            [KIND_CODES[AccessKind.INDEX], KIND_CODES[AccessKind.STREAM]],
+            [3, 3])
+        self.assert_same(trace, reference)
+        assert trace.instruction_count == 8
+        assert len(trace) == 4          # two leads, two memory entries
+
+    def test_trailing_compute_row(self):
+        reference = TraceBuilder(2).load(0x400, 0x1000).compute(4).build()
+        trace = Trace.from_columns(2, [OP_LOAD, OP_COMPUTE], [0x400, 0],
+                                   [0x1000, 0], [8, 0],
+                                   [KIND_CODES[AccessKind.OTHER], 4], [0, 0])
+        self.assert_same(trace, reference)
+        assert trace.entries[-1] == Compute(4)
+
+    def test_sw_prefetch_overhead_ops(self):
+        reference = (TraceBuilder(0).compute(1)
+                     .sw_prefetch(0x410, 0x3000, overhead_ops=5)
+                     .load(0x400, 0x1000, kind=AccessKind.INDIRECT).build())
+        trace = Trace.from_columns(
+            0, [OP_SW_PREFETCH, OP_LOAD], [0x410, 0x400], [0x3000, 0x1000],
+            [0, 8], [5, KIND_CODES[AccessKind.INDIRECT]], [1, 0])
+        self.assert_same(trace, reference)
+        # 1 lead + (1 + 5) for the prefetch + 1 load; prefetches are not
+        # memory references.
+        assert trace.instruction_count == 8
+        assert trace.memory_reference_count == 1
+
+    def test_empty_partition(self):
+        # A core with no rows (more cores than rows) gets an empty trace.
+        trace = Trace.from_columns(3, [], [], [], [], [], [])
+        self.assert_same(trace, TraceBuilder(3).build())
+        assert trace.num_rows == 0 and len(trace) == 0
+        assert trace.count_by_kind() == {kind: 0 for kind in KIND_BY_CODE}
+
+    def test_numpy_columns_equal_sequence_columns(self):
+        import numpy as np
+
+        rows = [[OP_LOAD, OP_COMPUTE], [0x400, 0], [0x1000, 0], [4, 0],
+                [KIND_CODES[AccessKind.INDEX], 2], [7, 0]]
+        from_lists = Trace.from_columns(0, *rows)
+        from_arrays = Trace.from_columns(
+            0, *(np.array(column, dtype=np.int32) for column in rows))
+        self.assert_same(from_arrays, from_lists)
+        assert from_arrays.op.typecode == "q"
+
+    def test_rejects_columns_of_different_lengths(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Trace.from_columns(0, [OP_LOAD], [0x400], [0x1000], [8], [0], [])
+
+    def test_append_after_from_columns_updates_counts(self):
+        trace = Trace.from_columns(0, [OP_LOAD], [0x400], [0x1000], [8],
+                                   [KIND_CODES[AccessKind.INDEX]], [0])
+        trace.append(Compute(5))
+        assert trace.instruction_count == 6
+        assert len(trace) == 2

@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -33,9 +33,10 @@ DIGESTS_PATH = Path(__file__).resolve().parents[1] / "data" / "trace_digests.jso
 
 CORES = (1, 4, 16, 64)
 SW_PREFETCH = (False, True)
+SIZES = ("default", "scale0.15")
 
 
-def _workloads(size: str) -> List[Tuple[str, Workload]]:
+def workloads_at(size: str) -> List[Tuple[str, Workload]]:
     """The workloads pinned at one size: ``default`` is every class at its
     default parameters, ``scale0.15`` is the paper cross-product's size
     (plus the scenario corpus' synthetic inputs)."""
@@ -54,12 +55,6 @@ def _workloads(size: str) -> List[Tuple[str, Workload]]:
         ("streaming", StreamingWorkload(n_elements=4096, seed=3)),
     ]
     return workloads
-
-
-SIZES: Dict[str, Callable[[], List[Tuple[str, Workload]]]] = {
-    "default": lambda: _workloads("default"),
-    "scale0.15": lambda: _workloads("scale0.15"),
-}
 
 
 def build_digest(workload: Workload, n_cores: int,
@@ -87,8 +82,8 @@ def case_key(size: str, name: str, n_cores: int, software_prefetch: bool) -> str
 
 def compute_digests() -> Dict[str, str]:
     digests: Dict[str, str] = {}
-    for size, make in SIZES.items():
-        for name, workload in make():
+    for size in SIZES:
+        for name, workload in workloads_at(size):
             for n_cores in CORES:
                 for software_prefetch in SW_PREFETCH:
                     digests[case_key(size, name, n_cores, software_prefetch)] = (
@@ -100,12 +95,12 @@ def _golden() -> Dict[str, str]:
     return json.loads(DIGESTS_PATH.read_text())
 
 
-@pytest.mark.parametrize("size", sorted(SIZES))
+@pytest.mark.parametrize("size", SIZES)
 def test_trace_digests_match_golden(size):
     golden = _golden()
     mismatches = []
     checked = 0
-    for name, workload in SIZES[size]():
+    for name, workload in workloads_at(size):
         for n_cores in CORES:
             for software_prefetch in SW_PREFETCH:
                 key = case_key(size, name, n_cores, software_prefetch)
