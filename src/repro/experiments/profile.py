@@ -35,8 +35,8 @@ SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
     # ResourceSchedule gets its own bucket: it is the shared reservation
     # primitive — DRAM banks/channels/buses always, the NoC only under
     # the reference backend — so folding it into noc.kernel would
-    # misattribute DRAM time whenever the default fused backend (which
-    # never enters queueing.py) is active.
+    # misattribute DRAM time whenever the compiled backend (the default)
+    # or its fused fallback (neither enters queueing.py) is active.
     ("repro/noc/kernel", "noc.kernel"),
     ("repro/sim/queueing", "queueing"),
     ("repro/noc/", "noc.geometry"),

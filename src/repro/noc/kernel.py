@@ -58,14 +58,14 @@ disorder by the in-flight lookahead — far below the slack.)
 The ``reference`` backend is the previous per-link implementation —
 :class:`~repro.sim.queueing.ResourceSchedule` objects, one ``reserve`` call
 per link — and is the single home of those semantics (``MeshNoC`` no longer
-carries a hand-inlined copy).  The default ``fused`` backend keeps every
-link's reservation slab in one flat record (parallel start/end arrays plus
-watermark/busy/head/frontier scalars) baked directly into the compiled
-reserver, places mostly-time-ordered traffic in O(1) via the last-end
+carries a hand-inlined copy).  The ``fused`` backend (the fallback when
+the compiled extension is missing) keeps every link's reservation slab in
+one flat record (parallel start/end arrays plus watermark/busy/head/
+frontier scalars) baked directly into the compiled reserver, places mostly-time-ordered traffic in O(1) via the last-end
 watermark, resumes out-of-order searches from the frontier index instead
 of re-bisecting from the head, and batches all pruning into a periodic
 whole-kernel sweep so the append fast path carries zero prune bookkeeping.
-The ``compiled`` backend is the same algorithm compiled to C
+The ``compiled`` backend, the default, is the same algorithm compiled to C
 (:mod:`repro._nockernel`, built optionally by ``setup.py``): the slabs
 become C double arrays and the per-message call a single built-in, removing
 the interpreter from the hot loop entirely; hosts without the extension

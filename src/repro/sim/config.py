@@ -478,8 +478,10 @@ class SystemConfig:
 
         Returns :attr:`hierarchy` when set; otherwise the classic Table 1
         chain — private L1s (``l1d``) under the shared, distributed L2
-        (``l2_slice``) — expressed as a :class:`HierarchyConfig`, so
-        introspection code can treat every configuration uniformly.
+        (``l2_slice``) — expressed as a :class:`HierarchyConfig`, from
+        which the memory system builds every configuration uniformly.  The
+        classic L1 is sectored by the partial-accessing knobs alone (see
+        :attr:`l1d_effective`), so its level leaves ``sector_size`` unset.
         """
         if self.hierarchy is not None:
             return self.hierarchy
@@ -489,8 +491,7 @@ class SystemConfig:
             LevelConfig(name="l1", size_bytes=l1.size_bytes,
                         associativity=l1.associativity,
                         scope="private", line_size=l1.line_size,
-                        hit_latency=l1.hit_latency,
-                        sector_size=l1.sector_size),
+                        hit_latency=l1.hit_latency),
             LevelConfig(name="l2", size_bytes=l2.size_bytes,
                         associativity=l2.associativity,
                         scope="shared", line_size=l2.line_size,

@@ -95,26 +95,27 @@ class InOrderCore:
         self._lead = trace.lead
         self._length = len(trace.op)
         self._access = _fast_access_of(memsys)
-        # When the L1 geometry supports inlined probing, an L1 *hit* is
-        # handled entirely inside the run loop — its only possible effect
-        # outside this core is the prefetch requests a hit notification may
-        # produce, and those are issued under this core's scheduling turn
-        # (see _drive).  Prefetchers that never observe hits (the "none"
+        # An L1 *hit* is handled entirely inside the run loop when the
+        # memory system allows it (MemorySystem.l1_hit_binding: a
+        # power-of-two, non-sectored L1 carrying at most one prefetcher,
+        # and memory that is not ideal).  A hit then touches only this
+        # core's L1 and that prefetcher, so replaying access_fast's L1-hit
+        # path here gives identical results; the only effect outside this
+        # core is the prefetch requests a hit notification may produce,
+        # and those are issued under this core's scheduling turn (see
+        # _drive).  Prefetchers that never observe hits (the "none"
         # baseline, the classic GHB) skip the notification entirely.
-        # Misses always go through MemorySystem.access_fast.  (Must mirror
-        # access_fast's hit path exactly.)
+        # Misses always go through MemorySystem.access_fast.
         self._l1 = None
         self._notify_on_hit = False
         self._prefetcher = None
         self._pf_ctx = None
         self._issue_requests = None
         self._pf_skip_resident = False
-        notify_hits = getattr(memsys, "_notify_hits", None)
-        if (notify_hits is not None
-                and getattr(memsys, "_l1_inline", False)
-                and not config.ideal_memory):
-            l1 = memsys.l1[core_id]
-            self._l1 = l1
+        bind = getattr(memsys, "l1_hit_binding", None)
+        binding = bind(core_id) if bind is not None else None
+        if binding is not None:
+            l1 = self._l1 = binding.cache
             # Flat-column L1 state, bound once (see repro.memory.cache):
             # the per-set {tag: way} index and the metadata columns.
             self._l1_index = l1._index
@@ -124,13 +125,13 @@ class InOrderCore:
             self._l1_line_shift = l1._line_shift
             self._l1_set_mask = l1._set_mask
             self._l1_tag_shift = l1._tag_shift
-            self._hit_latency = memsys._hit_latency
-            if notify_hits[core_id]:
+            self._hit_latency = binding.hit_latency
+            if binding.prefetcher is not None:
                 self._notify_on_hit = True
-                self._prefetcher = memsys.prefetchers[core_id]
-                self._pf_ctx = memsys._ctx
-                self._issue_requests = memsys._issue_requests
-                self._pf_skip_resident = not memsys._has_on_fill[core_id]
+                self._prefetcher = binding.prefetcher
+                self._pf_ctx = binding.ctx
+                self._issue_requests = binding.issue_requests
+                self._pf_skip_resident = binding.skip_resident
         #: Lazily-created generator behind run_until_memory_access.
         self._driver = None
         # Statistic accumulators, flushed into ``stats`` by finish().
@@ -273,8 +274,9 @@ class InOrderCore:
                         instructions += lead
                     is_write = op != OP_LOAD
                     kind_code = aux_col[pos]
-                    # L1 hit, handled entirely in the run loop (mirrors
-                    # MemorySystem.access_fast's hit path).
+                    # L1 hit, handled entirely in the run loop (the
+                    # replay of access_fast's L1-hit path that
+                    # MemorySystem.l1_hit_binding allows).
                     l1.accesses += 1
                     l1.hits += 1
                     l1_last_use[way] = time
@@ -303,7 +305,7 @@ class InOrderCore:
                         latency = (hit_latency + late if late > 0.0
                                    else hit_latency)
                     if notify_on_hit:
-                        # _notify_prefetcher, inlined: the prefetcher
+                        # MemorySystem._notify, inlined: the prefetcher
                         # observes the hit now (its state is core-local);
                         # any prefetch requests it returns are shared work
                         # and wait for this core's turn below.

@@ -1,4 +1,4 @@
-"""Tests for explicit cache hierarchies (HierarchyConfig + the extended
+"""Tests for explicit cache hierarchies (HierarchyConfig + the
 MemorySystem level chain)."""
 
 import pytest

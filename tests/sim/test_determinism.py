@@ -177,11 +177,12 @@ def test_registry_modes_match_pre_refactor_fingerprints():
                 f"fingerprint drift in {key}"
 
 
-def test_explicit_classic_hierarchy_matches_inlined_path():
+def test_explicit_classic_hierarchy_matches_implicit_shape():
     """An explicit (l1 private, l2 shared) HierarchyConfig with the classic
-    geometry must simulate bit-identically to the implicit fast path —
-    the strongest check that the generalised level chain implements the
-    same semantics the inlined classic code does."""
+    geometry must simulate bit-identically to ``hierarchy=None``: the
+    implicit shape resolves to that chain.  (Both run the one hierarchy
+    walk, which tests/data/hierarchy_digests.json pins to the classic
+    walk it replaced.)"""
     base = scaled_config(4)
     explicit = base.with_hierarchy(HierarchyConfig(levels=(
         LevelConfig(name="l1", size_bytes=base.l1d.size_bytes,
@@ -195,11 +196,11 @@ def test_explicit_classic_hierarchy_matches_inlined_path():
         classic = run_workload(
             IndirectStreamWorkload(n_indices=1024, n_data=4096, seed=3),
             base, prefetcher=prefetcher)
-        generalised = run_workload(
+        spelled = run_workload(
             IndirectStreamWorkload(n_indices=1024, n_data=4096, seed=3),
             explicit, prefetcher=prefetcher)
-        assert snapshot(classic.stats) == snapshot(generalised.stats), \
-            f"extended-path divergence with prefetcher={prefetcher}"
+        assert snapshot(classic.stats) == snapshot(spelled.stats), \
+            f"explicit-spelling divergence with prefetcher={prefetcher}"
 
 
 def test_hybrid_mode_is_deterministic_and_multi_attach():

@@ -117,3 +117,38 @@ class TestRunWorkload:
                               config, prefetcher="imp")
         assert first.runtime_cycles == second.runtime_cycles
         assert first.stats.total_l1_misses == second.stats.total_l1_misses
+
+
+@pytest.mark.parametrize("mode", ["imp", "hybrid", "imp_partial_noc_dram"])
+def test_finished_system_is_freed_by_reference_counting(mode):
+    """A finished System must not sit in a reference cycle: runs disable
+    the cyclic collector, and a sweep worker simulating spec after spec
+    would otherwise hold every finished system's caches until a full
+    collection (peak memory grows with each spec)."""
+    import gc
+
+    from repro.experiments.configs import experiment_config
+    from repro.memory.cache import Cache
+    from repro.memory.hierarchy import MemorySystem
+
+    config, prefetcher, imp_config, _ = experiment_config(mode, 4)
+    build = IndirectStreamWorkload(n_indices=256, n_data=1024,
+                                   seed=3).cached_build(4)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = System(config, build.traces, build.mem_image, prefetcher,
+                        imp_config)
+        system.run()
+        del system
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert not [obj for obj in garbage
+                if isinstance(obj, (System, MemorySystem, Cache))]
